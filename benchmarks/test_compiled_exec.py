@@ -2,13 +2,13 @@
 
 The behavioral target's packet rate is bounded by Python dispatch cost:
 the reference interpreter re-walks the composed AST, re-resolves names,
-and re-computes widths/masks for every packet.  The ``compiled`` backend
-(:mod:`repro.targets.compiled`) pays those costs once at build time and
-runs each packet as nested pre-bound closures over flat register slots.
-The ``codegen`` backend (:mod:`repro.targets.codegen`) goes one step
-further: it emits the whole pipeline as Python source — locals instead
-of context slots, constants inlined — and ``compile()``s it to a single
-code object, with an optional struct-of-arrays batch fast path.
+and re-computes widths/masks for every packet.  The ``codegen`` backend
+(:mod:`repro.targets.codegen`) pays those costs once at build time: it
+emits the whole pipeline as Python source — locals instead of ``Env``
+lookups, constants inlined — and ``compile()``s it to a single code
+object, with an optional struct-of-arrays batch fast path.  The
+``vector`` backend replaces that batch path with columnwise numpy
+execution.
 
 This harness measures every seam backend end-to-end on two workloads:
 
@@ -16,8 +16,10 @@ This harness measures every seam backend end-to-end on two workloads:
   action dominated (lpm + exact lookups, header rewrites);
 * **parser-heavy** — P4 monolithic with no entries installed: every
   packet walks the native parser loop, extraction, and deparser and
-  misses to default actions.  AST re-walking hurts most here, and the
-  compiled backend must show >= 3x.
+  misses to default actions.  AST re-walking hurts most here.
+
+Codegen must beat the interpreter by at least 3x on exact-heavy and
+4.5x on parser-heavy (full runs).
 
 plus the codegen batch (struct-of-arrays) mode measured separately
 against per-packet codegen — digest-identical by construction — and one
@@ -48,11 +50,13 @@ from tests.integration.helpers import ENTRY_SETS, eth_ipv4, eth_ipv6
 QUICK = os.environ.get("BENCH_COMPILED_QUICK") == "1"
 COUNT = 300 if QUICK else 2000
 REPEATS = 2 if QUICK else 4
-# CI runners are noisy; the >= 3x claim is asserted on full runs only.
-MIN_PARSER_SPEEDUP = 1.5 if QUICK else 3.0
-# Codegen must beat the closure backend by a clear margin on both
-# workloads (the ROADMAP's "next 10x on the hot path" clause).
-MIN_CODEGEN_VS_COMPILED = 1.2 if QUICK else 1.5
+# Codegen-over-interp floors.  Each is the product of two former
+# gates through a removed closure-compiled backend: closure/interp
+# (exact 2.0x, parser 3.0x) times codegen/closure (1.5x); quick runs
+# use the former quick gates (1.2x, 1.5x; 1.2x).  CI runners are noisy,
+# so the full floors are asserted on full runs only.
+MIN_EXACT_CODEGEN_SPEEDUP = 1.2 * 1.2 if QUICK else 2.0 * 1.5
+MIN_PARSER_CODEGEN_SPEEDUP = 1.5 * 1.2 if QUICK else 3.0 * 1.5
 # The vectorized backend must clearly beat codegen's batched SoA path on
 # the exact-heavy workload (ISSUE 10 acceptance gate: >= 2x full runs).
 MIN_VECTOR_VS_CODEGEN_BATCH = 1.2 if QUICK else 2.0
@@ -131,11 +135,7 @@ def run_pair(name, program, mode, packets, entries=True):
         block[f"{backend}_usec_per_pkt"] = round(1e6 / rates[backend], 1)
         if backend != "interp":
             block[f"{backend}_build_seconds"] = round(builds[backend], 4)
-    block["speedup"] = round(rates["compiled"] / rates["interp"], 2)
     block["codegen_speedup"] = round(rates["codegen"] / rates["interp"], 2)
-    block["codegen_vs_compiled"] = round(
-        rates["codegen"] / rates["compiled"], 2
-    )
     RESULTS[name] = block
     return block
 
@@ -146,8 +146,7 @@ def test_exact_heavy():
     result = run_pair("exact_heavy_P4_micro", "P4", "micro", packets)
     # Table lookups go through the same TableRuntime on every backend,
     # so the gain here is dispatch-only; it must still be a clear win.
-    assert result["speedup"] >= (1.2 if QUICK else 2.0), result
-    assert result["codegen_vs_compiled"] >= MIN_CODEGEN_VS_COMPILED, result
+    assert result["codegen_speedup"] >= MIN_EXACT_CODEGEN_SPEEDUP, result
 
 
 def test_parser_heavy():
@@ -158,8 +157,7 @@ def test_parser_heavy():
     result = run_pair(
         "parser_heavy_P4_mono", "P4", "mono", packets, entries=False
     )
-    assert result["speedup"] >= MIN_PARSER_SPEEDUP, result
-    assert result["codegen_vs_compiled"] >= MIN_CODEGEN_VS_COMPILED, result
+    assert result["codegen_speedup"] >= MIN_PARSER_CODEGEN_SPEEDUP, result
 
 
 def test_batch_soa():

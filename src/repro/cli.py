@@ -373,7 +373,7 @@ def _run_profile_packets(
     trace_writer=None,
 ) -> dict:
     """Push ``count`` synthetic packets through the behavioral target so
-    the ``interp.*``/``compiled.*`` lookup counters have something to
+    the ``interp.*``/``codegen.*`` lookup counters have something to
     report."""
     import time
 
@@ -828,8 +828,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--exec", choices=EXEC_BACKENDS, default=DEFAULT_EXEC_BACKEND,
         help="execution backend for the --packets push: tree-walking "
-        "interpreter (default), the closure-compiled pipeline, or the "
-        "source-codegen pipeline",
+        "interpreter (default), the source-codegen pipeline, or its "
+        "columnwise numpy variant",
     )
     p_profile.add_argument(
         "--metrics",

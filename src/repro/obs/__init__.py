@@ -22,8 +22,8 @@ A fourth primitive builds on the first three:
 
 Metric key naming convention: ``<layer>.<component>.<what>`` with the
 layer one of ``frontend``, ``linker``, ``analysis``, ``compose``,
-``optimize``, ``tna``, ``v1model``, ``interp``, ``compiled``,
-``pipeline``, ``switch``.
+``optimize``, ``tna``, ``v1model``, ``interp``, ``codegen``,
+``vector``, ``pipeline``, ``switch``.
 """
 
 from repro.obs.metrics import METRICS, MetricsRegistry, collecting

@@ -9,10 +9,12 @@ composed IR produced by the midend/backends directly.
 * :mod:`~repro.targets.interpreter` — expression/statement evaluator.
 * :mod:`~repro.targets.pipeline` — packet-in/packet-out execution of a
   :class:`~repro.midend.inline.ComposedPipeline`.
-* :mod:`~repro.targets.compiled` — the closure-compiled execution
-  backend: same semantics, pre-bound closures instead of tree-walking.
+* :mod:`~repro.targets.codegen` — the source-codegen execution
+  backend: same semantics, one generated Python function per pipeline.
+* :mod:`~repro.targets.vector` — the codegen backend with columnwise
+  numpy batch execution.
 * :mod:`~repro.targets.backends` — the ``ExecBackend`` seam mapping
-  backend names (``interp`` / ``compiled``) to executors.
+  backend names (``interp`` / ``codegen`` / ``vector``) to executors.
 * :mod:`~repro.targets.switch` — a V1Model-style switch: ports, packet
   replication engine (multicast groups), recirculation.
 * :mod:`~repro.targets.runtime_api` — the "control API" of the paper's
@@ -35,7 +37,6 @@ from repro.targets.faults import (
     Verdict,
 )
 from repro.targets.pipeline import PipelineInstance, PacketOut
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.switch import Switch
 from repro.targets.runtime_api import RuntimeAPI
@@ -61,7 +62,6 @@ __all__ = [
     "ResourceGuards",
     "Verdict",
     "PipelineInstance",
-    "CompiledPipeline",
     "EXEC_BACKENDS",
     "make_pipeline",
     "PacketOut",

@@ -1,12 +1,10 @@
 """The ``ExecBackend`` seam: one place that maps a backend name to a
 pipeline executor.
 
-Four backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
+Three backends execute a :class:`~repro.midend.inline.ComposedPipeline`:
 
 * ``interp`` — :class:`~repro.targets.pipeline.PipelineInstance`, the
   reference tree-walking interpreter.  Default everywhere.
-* ``compiled`` — :class:`~repro.targets.compiled.CompiledPipeline`, the
-  closure-compiled specialization (see ``DESIGN.md`` §10).
 * ``codegen`` — :class:`~repro.targets.codegen.CodegenPipeline`, a
   one-time translation to generated Python source ``compile()``d into a
   single code object per pipeline, with an optional batched
@@ -34,12 +32,11 @@ from typing import Optional
 from repro.errors import TargetError
 from repro.midend.inline import ComposedPipeline
 from repro.targets.codegen import CodegenPipeline
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
 from repro.targets.pipeline import PipelineInstance
 
 #: Recognized execution backend names, in preference-display order.
-EXEC_BACKENDS = ("interp", "compiled", "codegen", "vector")
+EXEC_BACKENDS = ("interp", "codegen", "vector")
 
 DEFAULT_EXEC_BACKEND = "interp"
 
@@ -56,13 +53,6 @@ def make_pipeline(
     instead of silently falling back."""
     if exec_backend == "interp":
         return PipelineInstance(
-            composed,
-            use_table_index=use_table_index,
-            guards=guards,
-            faults=faults,
-        )
-    if exec_backend == "compiled":
-        return CompiledPipeline(
             composed,
             use_table_index=use_table_index,
             guards=guards,

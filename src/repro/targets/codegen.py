@@ -1,18 +1,18 @@
 """Source-codegen execution backend: the composed pipeline as one
 generated Python function.
 
-The closure backend (:mod:`repro.targets.compiled`) already moved all
-AST dispatch and name resolution to build time, but each statement is
-still one Python *call* over a shared register list.  This module goes
-one step further down the µP4C "do it at compile time" ladder: a
-:class:`CodegenPipeline` renders the composed program into **Python
-source** — parser, table dispatch, inlined action bodies, and deparser
-as one module-level function per pipeline — then ``compile()``s and
-``exec``s it once.  Per-packet work after that is plain local-variable
-bytecode:
+The interpreter (:mod:`repro.targets.interpreter`) re-walks the
+annotated AST for every packet: each statement re-dispatches on node
+type and each name re-resolves through the ``Env`` chain.  µP4C's
+argument is that composition work belongs at compile time; this module
+extends that to *execution*.  A :class:`CodegenPipeline` renders the
+composed program into **Python source** — parser, table dispatch,
+inlined action bodies, and deparser as one module-level function per
+pipeline — then ``compile()``s and ``exec``s it once.  Per-packet work
+after that is plain local-variable bytecode:
 
-* every pipeline variable is a function **local** (no ``ctx.regs``
-  indexing);
+* every pipeline variable is a function **local** (no ``Env`` chain
+  lookups);
 * widths, masks, pack/unpack plans, fault-site strings and trace labels
   are inlined **constants**;
 * the micro-pipeline byte stack is **scalarized** into one local per
@@ -21,12 +21,23 @@ bytecode:
 * action bodies are inlined at each table-apply site, so a hit runs
   straight-line code instead of a dict lookup plus invoker call.
 
-The generated function preserves the interpreter's observable contract
-(the differential suite in ``tests/targets/test_compiled_equiv.py``
-enforces it across all ``EXEC_BACKENDS``): identical verdict streams,
-drop reasons, ``PacketTrace`` events, fault-site trip order, error
-strings, and statement-exact step accounting against
-``interp_step_budget``.
+What stays dynamic is exactly the state the interpreter also treats as
+runtime state: table contents (the shared ``TableRuntime``), register
+cells, the fault plan, guards, and per-packet intrinsic metadata.
+
+Compatibility contract with the interpreter (the differential suite in
+``tests/targets/test_compiled_equiv.py`` enforces it across all
+``EXEC_BACKENDS``):
+
+* identical verdict streams, output bytes/ports, drop reasons and error
+  strings;
+* identical :class:`~repro.obs.pkttrace.PacketTrace` event streams;
+* **fault-site parity** — ``FaultPlan.trip`` draws one sample per named
+  site visit, so generated code trips the same sites in the same order
+  (table trip *before* key eval, extern trip before dispatch);
+* **step parity** — every generated statement counts one step against
+  the same ``interp_step_budget`` guard, so a step-budget kill happens
+  on exactly the same packet under either backend.
 
 Batched struct-of-arrays mode
 -----------------------------
@@ -43,7 +54,7 @@ same visit order per-packet execution produces.
 
 Metrics are emitted under ``codegen.*`` (``codegen.packets``,
 ``codegen.table_hits``/``misses``, ``codegen.builds``) alongside the
-``interp.*`` and ``compiled.*`` families.
+interpreter's ``interp.*`` family.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import os
 import re
 import tempfile
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TargetError
 from repro.frontend import astnodes as ast
@@ -65,12 +76,6 @@ from repro.midend.inline import IM_VAR, PKT_VAR, ComposedPipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import LATENCY_SAMPLE_EVERY, METRICS
 from repro.obs.pkttrace import PacketTrace
-from repro.targets.compiled import (
-    _IM_FAST,
-    _factory_for,
-    _pack_plan,
-    _unpack_plan,
-)
 from repro.targets.faults import (
     DEFAULT_STEP_BUDGET,
     FaultError,
@@ -85,13 +90,96 @@ from repro.targets.interpreter import (
     PktObject,
     RegisterState,
     ReturnSignal,
+    StructValue,
 )
 from repro.targets.pipeline import PacketOut, ParserErrorSignal, _expr_name
 from repro.targets.tables import TableRuntime
 
+#: Fast-path ``im_t`` methods emitted as direct attribute access.
+_IM_FAST = ("set_out_port", "get_out_port", "get_in_port", "drop")
+
 #: Strings safe to re-emit without pinning into a temp: evaluating them
 #: is side-effect free and order-independent (bare locals, literals).
 _ATOM = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|\d+|'[^'\\]*')\Z")
+
+
+# ======================================================================
+# Default-value factories and header pack plans (built once per program)
+# ======================================================================
+
+
+def _header_factory(htype: ast.HeaderType) -> Callable[[], HeaderValue]:
+    template = {name: 0 for name, _ in htype.fields}
+    new = HeaderValue.__new__
+
+    def make() -> HeaderValue:
+        hv = new(HeaderValue)
+        hv.fields = template.copy()
+        hv.valid = False
+        return hv
+
+    return make
+
+
+def _struct_factory(stype: ast.StructType) -> Callable[[], StructValue]:
+    makers = tuple((name, _factory_for(ftype)) for name, ftype in stype.fields)
+    new = StructValue.__new__
+
+    def make() -> StructValue:
+        sv = new(StructValue)
+        sv.fields = {name: mk() for name, mk in makers}
+        return sv
+
+    return make
+
+
+def _factory_for(t: ast.Type) -> Callable[[], object]:
+    """Mirror of :func:`repro.targets.interpreter.default_value` as a
+    zero-arg factory; unsupported types raise at *call* time so the
+    failure stays inside the containment boundary, like the
+    interpreter's per-packet ``default_value`` raise."""
+    if isinstance(t, ast.BitType):
+        return lambda: 0
+    if isinstance(t, ast.BoolType):
+        return lambda: False
+    if isinstance(t, ast.HeaderType):
+        return _header_factory(t)
+    if isinstance(t, ast.StructType):
+        return _struct_factory(t)
+    if isinstance(t, ast.ExternType):
+        if t.name == "mc_engine":
+            return McEngine
+        if t.name == "register":
+            return RegisterState
+        return lambda: None
+    if isinstance(t, ast.EnumType):
+        member = t.members[0] if t.members else ""
+        return lambda: member
+    def unsupported() -> object:
+        raise TargetError(f"cannot build a default value for {t}")
+
+    return unsupported
+
+
+def _pack_plan(htype: ast.HeaderType) -> Tuple[Tuple[str, int, int], ...]:
+    """``(field, width, mask)`` in declaration order, for packing."""
+    return tuple(
+        (fname, ftype.width, (1 << ftype.width) - 1)
+        for fname, ftype in htype.fields
+        if isinstance(ftype, ast.BitType)
+    )
+
+
+def _unpack_plan(htype: ast.HeaderType) -> Tuple[Tuple[str, int, int], ...]:
+    """``(field, shift, mask)`` against the big-endian fixed image."""
+    plan = []
+    pos = htype.fixed_bit_width
+    for fname, ftype in htype.fields:
+        if not isinstance(ftype, ast.BitType):
+            continue
+        pos -= ftype.width
+        plan.append((fname, pos, (1 << ftype.width) - 1))
+    return tuple(plan)
 
 
 # ======================================================================
@@ -243,11 +331,12 @@ def _bs_escapes(composed: ComposedPipeline) -> bool:
 class _SourceGen:
     """Renders one :class:`ComposedPipeline` into Python source.
 
-    Mirrors the scoping model of ``compiled._Compiler``: lexical frames
-    map pipeline names to generated function locals, redeclaration in
-    the same frame reuses the local, shadowing in a child frame gets a
-    fresh one.  Every emitted statement carries the same three-line step
-    accounting the closure backend performs, and all dynamic error
+    Lexical scoping is static in the composed IR (``Env`` frames are
+    created exactly where blocks/actions/parsers nest), so frames map
+    pipeline names to generated function locals: redeclaration in the
+    same frame reuses the local, shadowing in a child frame gets a
+    fresh one.  Every emitted statement counts one step against the
+    interpreter's step budget, and all dynamic error
     messages are rendered with ``%`` formatting so the strings are
     byte-identical to the interpreter's f-strings.
     """
@@ -416,8 +505,8 @@ class _SourceGen:
         return out
 
     # ------------------------------------------------------------------
-    # Static int-ness (for eliding ``int()`` exactly where the closure
-    # backend's semantics make it a no-op)
+    # Static int-ness (for eliding ``int()`` exactly where the
+    # interpreter's semantics make it a no-op)
     # ------------------------------------------------------------------
     def is_int(self, node: ast.Expr) -> bool:
         if isinstance(node, ast.IntLit):
@@ -672,8 +761,8 @@ class _SourceGen:
     # Statements
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """The same statement-exact accounting the closure backend
-        performs; the format happens only on the cold path."""
+        """The interpreter's statement-exact step accounting; the
+        format happens only on the cold path."""
         self.line("steps += 1")
         self.line("if steps > step_limit:")
         with self.block():
@@ -772,7 +861,7 @@ class _SourceGen:
         t = self.tmp()
         self.line(f"{t} = {subj}")
         # Resolve fallthrough statically: a match on case i executes the
-        # first non-empty body at or after i, like the closure backend.
+        # first non-empty body at or after i, like the interpreter.
         bodies = [case.body for case in s.cases]
         resolved = [
             next((b for b in bodies[i:] if b is not None), None)
@@ -1314,9 +1403,9 @@ class _SourceGen:
     # Whole-function emission
     # ------------------------------------------------------------------
     def _root_inits(self, in_port_s: str, pktlen_s: str, pktobj_s: str) -> None:
-        """Per-packet locals for IM/pkt/root variables, in the same order
-        ``compiled._fresh_ctx`` evaluates them: scalars and factories in
-        declaration order, register externs next, mc wiring last."""
+        """Per-packet locals for IM/pkt/root variables, in a fixed
+        order: scalars and factories in declaration order, register
+        externs next, mc wiring last."""
         im = self._define(IM_VAR, False)
         self.line(f"{im} = _IM(in_port={in_port_s}, pkt_len={pktlen_s})")
         pk = self._define(PKT_VAR, False)
@@ -1788,9 +1877,9 @@ def _compile_cached(source: str, filename: str):
 class CodegenPipeline:
     """Composed pipeline translated to generated Python source.
 
-    Observationally identical to the interpreter and the closure backend:
-    same verdicts, drop reasons, traces, fault-trip order, step counting,
-    and error strings. ``source`` holds the generated module text for
+    Observationally identical to the interpreter: same verdicts, drop
+    reasons, traces, fault-trip order, step counting, and error
+    strings. ``source`` holds the generated module text for
     debugging; ``batch_supported`` is True when the struct-of-arrays
     ``process_soa`` fast path was generated for this pipeline.
     """

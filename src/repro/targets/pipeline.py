@@ -122,7 +122,7 @@ class PipelineInstance:
     def _lat_sample(self) -> bool:
         """Decide whether this packet's stage latencies are timed, and
         propagate the decision to the interpreter's table-apply path.
-        Deterministic (packet-counter stride), so the compiled backend
+        Deterministic (packet-counter stride), so the codegen backend
         samples the identical packets and reports identical counts."""
         if METRICS.enabled:
             tick = self._lat_tick

@@ -21,8 +21,9 @@ class RuntimeAPI:
     """Thin facade over a pipeline's table runtimes.
 
     ``instance`` is any execution backend exposing ``tables`` and
-    ``composed`` — a :class:`PipelineInstance` or a
-    :class:`~repro.targets.compiled.CompiledPipeline`; both share the
+    ``composed`` — a :class:`PipelineInstance`, a
+    :class:`~repro.targets.codegen.CodegenPipeline` or a
+    :class:`~repro.targets.vector.VectorPipeline`; all share the
     same :class:`~repro.targets.tables.TableRuntime` state model, so
     control-plane programming is backend-agnostic.
     """

@@ -89,7 +89,7 @@ class SoakConfig:
     #: well-formed v4/v6 mix that keeps every packet on the exact/lpm
     #: fast path (the engine-scaling benchmark's exact-heavy workload).
     traffic: str = "mixed"
-    #: Execution backend (``interp`` / ``compiled``).  The verdict
+    #: Execution backend (``interp`` / ``codegen`` / ``vector``).  The verdict
     #: stream — and therefore the digest — must not depend on it; the
     #: differential suite pins that equivalence.
     exec_backend: str = "interp"

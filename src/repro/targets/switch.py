@@ -64,7 +64,7 @@ class Switch:
         When True, contained faults re-raise instead of becoming
         reason-coded drops (the pre-containment behavior, for tests).
     exec_backend:
-        Optional backend name (``"interp"`` / ``"compiled"``).  When it
+        Optional backend name (one of ``EXEC_BACKENDS``).  When it
         differs from the backend ``pipeline`` was built under, the
         switch rebuilds the executor for the same composed program.
         Pass it *before* installing table entries — a rebuild starts

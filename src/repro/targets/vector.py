@@ -58,8 +58,7 @@ from repro.midend.bytestack import BS_INSTANCE, BS_LEN_VAR, PARSER_ERR_VAR
 from repro.midend.inline import IM_VAR, PKT_VAR, ComposedPipeline
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS
-from repro.targets.codegen import CodegenPipeline
-from repro.targets.compiled import _IM_FAST
+from repro.targets.codegen import _IM_FAST, CodegenPipeline
 from repro.targets.faults import FaultError, FaultPlan, ResourceGuards
 from repro.targets.pipeline import PacketOut
 from repro.targets.tables import TableRuntime, _checks_match, _compile_checks

@@ -19,7 +19,6 @@ from repro.targets.backends import (
     make_pipeline,
 )
 from repro.targets.codegen import CodegenPipeline
-from repro.targets.compiled import CompiledPipeline
 from repro.targets.interpreter import Env
 from repro.targets.pipeline import PipelineInstance
 from repro.targets.switch import Switch
@@ -33,18 +32,13 @@ def composed():
 
 class TestMakePipeline:
     def test_backend_names(self):
-        assert EXEC_BACKENDS == ("interp", "compiled", "codegen", "vector")
+        assert EXEC_BACKENDS == ("interp", "codegen", "vector")
         assert DEFAULT_EXEC_BACKEND == "interp"
 
     def test_interp_backend(self, composed):
         instance = make_pipeline(composed, "interp")
         assert isinstance(instance, PipelineInstance)
         assert backend_of(instance) == "interp"
-
-    def test_compiled_backend(self, composed):
-        instance = make_pipeline(composed, "compiled")
-        assert isinstance(instance, CompiledPipeline)
-        assert backend_of(instance) == "compiled"
 
     def test_codegen_backend(self, composed):
         instance = make_pipeline(composed, "codegen")
@@ -71,11 +65,14 @@ class TestMakePipeline:
         assert backend_of(make_pipeline(composed)) == "interp"
 
     def test_unknown_backend_reason_coded(self, composed):
-        with pytest.raises(TargetError) as exc:
-            make_pipeline(composed, "jit")
-        assert exc.value.code == "unknown-backend"
-        assert "jit" in str(exc.value)
-        assert "compiled" in str(exc.value)  # names the known backends
+        # "compiled" names the closure backend that has been removed.
+        for name in ("jit", "compiled"):
+            with pytest.raises(TargetError) as exc:
+                make_pipeline(composed, name)
+            assert exc.value.code == "unknown-backend"
+            assert repr(name) in str(exc.value)
+            # names the live backends
+            assert "known: interp, codegen, vector" in str(exc.value)
 
     def test_shared_surface(self, composed):
         """Every executor exposes the surface the switch/API relies on."""
@@ -98,8 +95,8 @@ class TestMakePipeline:
 
 class TestSwitchSeam:
     def test_rebuild_on_mismatch(self, composed):
-        switch = Switch(PipelineInstance(composed), exec_backend="compiled")
-        assert isinstance(switch.pipeline, CompiledPipeline)
+        switch = Switch(PipelineInstance(composed), exec_backend="codegen")
+        assert isinstance(switch.pipeline, CodegenPipeline)
         assert switch.pipeline.composed is composed
 
     def test_no_rebuild_on_match(self, composed):
@@ -108,7 +105,7 @@ class TestSwitchSeam:
         assert switch.pipeline is instance
 
     def test_no_rebuild_by_default(self, composed):
-        instance = CompiledPipeline(composed)
+        instance = CodegenPipeline(composed)
         switch = Switch(instance)
         assert switch.pipeline is instance
 

@@ -155,10 +155,11 @@ class TestKillRecovery:
         assert block["restarts"] == {"0": 1, "1": 1}
         assert no_orphans()
 
-    def test_compiled_backend_recovers_identically(self):
-        config = chaos_config(exec_backend="compiled")
+    def test_codegen_backend_recovers_identically(self, clean_digest):
+        config = chaos_config(exec_backend="codegen")
         clean = run_chaotic(config, specs=None)
         block = run_chaotic(config, f"kill:shard=0@pkt={PACKETS // 2}")
+        assert clean["digest"] == clean_digest
         assert block["digest"] == clean["digest"]
         assert block["restarts"] == {"0": 1}
         assert no_orphans()

@@ -229,11 +229,16 @@ class TestBatchParity:
             for verdict in switch.process_batch(items, soa=True):
                 assert verdict.balanced()
 
-    def test_interp_and_compiled_fall_back(self):
-        """Backends without batch support keep working under soa=True."""
-        composed = build_pipeline("P1")
-        for backend in ("interp", "compiled"):
-            switch = Switch(make_pipeline(composed, backend))
+    def test_unbatched_pipelines_fall_back(self):
+        """Pipelines without batch support keep working under soa=True:
+        the interpreter, and codegen over a monolithic program."""
+        for backend, composed in (
+            ("interp", build_pipeline("P1")),
+            ("codegen", build_monolithic("P1")),
+        ):
+            pipeline = make_pipeline(composed, backend)
+            assert not getattr(pipeline, "batch_supported", False)
+            switch = Switch(pipeline)
             verdicts = switch.process_batch(
                 [(Packet(b"\x00" * 20), 0)], soa=True
             )

@@ -1,5 +1,5 @@
-"""Differential suite: the closure-compiled backend must be observably
-identical to the tree-walking interpreter.
+"""Differential suite: every compiled execution backend must be
+observably identical to the tree-walking interpreter.
 
 Equivalence is asserted at every surface a user of the behavioral target
 can see: per-packet outputs (bytes, ports, multicast group, recirculate
@@ -10,7 +10,7 @@ switch's ``emits + drops == units`` ledger.  Hypothesis drives random
 packet bytes and ports over every catalog program in both compile modes.
 
 The suite is parametrized over ``EXEC_BACKENDS`` — every non-interp
-backend (closure-compiled, source-codegen, and any future one) is
+backend (source-codegen, columnwise vector, and any future one) is
 diffed against the tree-walking reference, so a new backend inherits
 the whole parity contract by being added to the seam tuple.
 """
@@ -325,11 +325,11 @@ class TestSoakDigests:
         summary = run_soak(
             SoakConfig(
                 programs=["P1"], packets=200, seed=9, fault_rate=0.0,
-                exec_backend="compiled",
+                exec_backend="codegen",
             )
         )
         assert summary["ok"]
-        assert summary["soak"]["exec"] == "compiled"
+        assert summary["soak"]["exec"] == "codegen"
 
     def test_sharded_digest_matches_interp(self):
         from repro.targets.engine import EngineConfig

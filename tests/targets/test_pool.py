@@ -169,7 +169,7 @@ class TestBackpressure:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("exec_backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("exec_backend", ["interp", "codegen"])
     def test_dispatch_matches_replay_digest(self, exec_backend):
         config = small_config(exec_backend=exec_backend)
         replay = run_sharded_program(

@@ -35,7 +35,7 @@ class TestDigestNeutrality:
         assert live["packets"] == baseline["packets"]
 
     def test_sharded_digest_unchanged_by_telemetry(self):
-        config = quick_config(packets=600, exec_backend="compiled")
+        config = quick_config(packets=600, exec_backend="codegen")
         off = run_sharded_program(config, "P4", EngineConfig(workers=2))
         telemetry = LiveTelemetry()
         on = run_sharded_program(
@@ -115,11 +115,11 @@ class TestLatencyInstrumentationBothBackends:
 
     def test_same_stage_keys_same_counts(self):
         interp = self._stage_counts("interp")
-        compiled = self._stage_counts("compiled")
+        codegen = self._stage_counts("codegen")
         # Both backends report under the same keys with identical
         # observation counts — the backend must not change what is
         # counted, only how fast it runs.
-        assert interp == compiled
+        assert interp == codegen
         assert all(count > 0 for count in interp.values())
 
 

@@ -231,7 +231,7 @@ class TestNumpyOptional:
 
     def test_other_backends_unaffected(self, monkeypatch):
         monkeypatch.setattr(vector_mod, "_np", None)
-        for backend in ("interp", "compiled", "codegen"):
+        for backend in ("interp", "codegen"):
             inst = make_pipeline(build_pipeline("P1"), exec_backend=backend)
             assert inst.process(eth_ipv4().copy(), 1) is not None
 
