@@ -5,6 +5,13 @@ The AST doubles as the µP4-IR: the type checker annotates nodes in place
 transforms copies of these nodes.  All nodes carry a source location for
 diagnostics.
 
+Three fields are *annotations* rather than owned children: ``loc``, the
+checker's semantic ``type`` on expressions and the resolved ``decl`` on
+names.  They are references into other trees (a whole struct type, a
+``typecheck.Symbol`` holding a declaration), so every IR traversal --
+:meth:`Node.clone`, ``ir.visitor`` and the JSON serializer -- visits only
+the fields :func:`owned_fields` names and shares the annotations.
+
 Type nodes (:class:`BitType` etc.) are also used as the *semantic* types
 computed during checking, so a single representation flows through the
 whole compiler, in the spirit of p4c's unified IR.
@@ -12,11 +19,24 @@ whole compiler, in the spirit of p4c's unified IR.
 
 from __future__ import annotations
 
-import copy as _copy
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.frontend.source import UNKNOWN_LOC, SourceLocation
+
+#: Fields that reference other trees instead of owning sub-nodes.
+ANNOTATIONS = frozenset({"loc", "type", "decl"})
+
+_OWNED: Dict[type, Tuple[str, ...]] = {}
+
+
+def owned_fields(cls: type) -> Tuple[str, ...]:
+    """The dataclass fields of node class ``cls`` minus the annotations."""
+    names = _OWNED.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls) if f.name not in ANNOTATIONS)
+        _OWNED[cls] = names
+    return names
 
 
 @dataclass
@@ -26,8 +46,57 @@ class Node:
     loc: SourceLocation = field(default=UNKNOWN_LOC, repr=False, compare=False)
 
     def clone(self) -> "Node":
-        """Deep copy; midend passes transform clones, never originals."""
-        return _copy.deepcopy(self)
+        """Copy the subtree for a pass to transform; originals stay intact.
+
+        Owned fields are copied recursively through nodes, lists, tuples
+        and dicts; a node reached twice inside the subtree is copied once,
+        so sharing within it is kept.  Everything else -- the ``loc``,
+        ``type`` and ``decl`` annotations and the checker's ``resolved``
+        back-references -- is shared with the original, except that a
+        reference to a node inside the subtree follows that node's copy
+        (an inlined call stays bound to the renamed table or instance
+        of its own program copy).  A pass that restructures
+        declarations re-runs the type checker on the clone, which
+        reassigns every annotation.
+        """
+        memo: Dict[int, Node] = {}
+        refs: List[Tuple[Dict[str, Any], str, Any]] = []
+        copy = _clone(self, memo, refs)
+        for attrs, name, ref in refs:
+            if isinstance(ref, Node):
+                attrs[name] = memo.get(id(ref), ref)
+            else:
+                attrs[name] = tuple(
+                    memo.get(id(r), r) if isinstance(r, Node) else r for r in ref
+                )
+        return copy
+
+
+def _clone(value: Any, memo: Dict[int, Node], refs: List) -> Any:
+    """Copy owned structure; queue node references for :meth:`Node.clone`."""
+    if isinstance(value, Node):
+        done = memo.get(id(value))
+        if done is not None:
+            return done
+        cls = type(value)
+        copy = cls.__new__(cls)
+        memo[id(value)] = copy
+        attrs = copy.__dict__
+        attrs.update(value.__dict__)
+        owned = owned_fields(cls)
+        for name, ref in attrs.items():
+            if name not in owned and isinstance(ref, (Node, tuple)):
+                refs.append((attrs, name, ref))
+        for name in owned:
+            attrs[name] = _clone(attrs[name], memo, refs)
+        return copy
+    if isinstance(value, list):
+        return [_clone(v, memo, refs) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_clone(v, memo, refs) for v in value)
+    if isinstance(value, dict):
+        return {k: _clone(v, memo, refs) for k, v in value.items()}
+    return value
 
 
 # ======================================================================

@@ -10,7 +10,6 @@ environment (externs may evolve between compiler versions).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any, Dict
 
@@ -18,6 +17,7 @@ from repro.errors import CompileError
 from repro.frontend import astnodes as ast
 from repro.frontend.source import SourceLocation
 from repro.frontend.typecheck import Module, TypeChecker
+from repro.ir.visitor import children
 
 IR_VERSION = 1
 
@@ -43,10 +43,9 @@ def node_to_dict(node: Any) -> Any:
         return {"!node": "TypeName", "name": node.name, "args": args}
     if isinstance(node, ast.Node):
         out: Dict[str, Any] = {"!node": type(node).__name__}
-        for f in dataclasses.fields(node):
-            if f.name in ("loc", "type", "decl"):
-                continue  # locations/annotations are not part of the IR
-            out[f.name] = node_to_dict(getattr(node, f.name))
+        # Locations and annotations are not part of the IR.
+        for name in ast.owned_fields(type(node)):
+            out[name] = node_to_dict(getattr(node, name))
         return out
     if isinstance(node, SourceLocation):
         return None
@@ -66,7 +65,7 @@ def dict_to_node(data: Any) -> Any:
         if cls is None:
             raise CompileError(f"unknown µP4-IR node kind {data['!node']!r}")
         kwargs = {}
-        field_names = {f.name for f in dataclasses.fields(cls)}
+        field_names = ast.owned_fields(cls)
         for key, value in data.items():
             if key == "!node" or key not in field_names:
                 continue
@@ -87,23 +86,8 @@ def _fix_tuples(node: Any) -> None:
         node.fields = [tuple(f) for f in node.fields]  # type: ignore[misc]
     if isinstance(node, ast.ParserState):
         node.select_cases = [tuple(c) for c in node.select_cases]  # type: ignore[misc]
-    for child in _children(node):
+    for child in children(node):
         _fix_tuples(child)
-
-
-def _children(node: Any):
-    if isinstance(node, ast.Node):
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            yield from _children_of_value(value)
-
-
-def _children_of_value(value: Any):
-    if isinstance(value, ast.Node):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _children_of_value(item)
 
 
 def dump_module(module: Module) -> str:

@@ -1,12 +1,13 @@
 """Generic AST traversal and rewriting helpers.
 
 These operate structurally over the dataclass-based AST, so midend passes
-do not each need to know every node's field layout.
+do not each need to know every node's field layout.  They visit only a
+node's owned fields (:func:`~repro.frontend.astnodes.owned_fields`): the
+``loc``/``type``/``decl`` annotations are references, not children.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro.frontend import astnodes as ast
@@ -14,10 +15,8 @@ from repro.frontend import astnodes as ast
 
 def children(node: ast.Node) -> Iterator[ast.Node]:
     """Yield the direct child nodes of ``node``."""
-    for f in dataclasses.fields(node):
-        if f.name in ("loc",):
-            continue
-        yield from _nodes_in(getattr(node, f.name))
+    for name in ast.owned_fields(type(node)):
+        yield from _nodes_in(getattr(node, name))
 
 
 def _nodes_in(value: Any) -> Iterator[ast.Node]:
@@ -67,10 +66,8 @@ def rewrite_expressions(
         return value
 
     def _rewrite_children(n: ast.Node) -> None:
-        for f in dataclasses.fields(n):
-            if f.name in ("loc", "type", "decl"):
-                continue
-            setattr(n, f.name, rewrite_value(getattr(n, f.name)))
+        for name in ast.owned_fields(type(n)):
+            setattr(n, name, rewrite_value(getattr(n, name)))
 
     _rewrite_children(node)
     if isinstance(node, ast.Expr):

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.lib.catalog import build_monolithic, build_pipeline
+from repro import CompilerOptions, Up4Compiler
+from repro.lib.catalog import (
+    COMPOSITIONS,
+    EXTRA_COMPOSITIONS,
+    build_monolithic,
+    build_pipeline,
+)
+from repro.lib.loader import load_module_source
 from repro.net.build import PacketBuilder
 from repro.net.ethernet import mac
 from repro.net.ipv4 import ip4
@@ -79,6 +86,42 @@ def make_instance(
         action = act_micro if mode == "micro" else act_mono
         api.add_entry(table, matches, action, args)
     return instance
+
+
+# ----------------------------------------------------------------------
+# Catalog compiles
+# ----------------------------------------------------------------------
+
+#: Every catalog composition, P1-P8: program -> module recipe.
+RECIPES = {**COMPOSITIONS, **EXTRA_COMPOSITIONS}
+
+
+def catalog_sources(name: str):
+    """(µP4 module sources, monolithic source) of one catalog program."""
+    return (
+        [(m, load_module_source(m)) for m in RECIPES[name]],
+        load_module_source(name.lower(), "monolithic"),
+    )
+
+
+def compile_catalog_program(name, sources, mono_source, tracer=None):
+    """Compile one catalog program the way the compile-catalog workload
+    does: the µP4 composition to TNA and then to V1Model, and the
+    monolithic baseline to TNA.  Returns (micro result, V1Model program,
+    mono result); every compiler records into ``tracer`` when given."""
+    tna = Up4Compiler(CompilerOptions(target="tna"), tracer=tracer)
+    modules = [tna.frontend(text, f"{m}.up4") for m, text in sources]
+    micro = tna.compile_modules(modules[0], modules[1:])
+    v1model = Up4Compiler(
+        CompilerOptions(target="v1model"), tracer=tracer
+    ).backend(micro.composed)
+    mono_compiler = Up4Compiler(
+        CompilerOptions(target="tna", monolithic=True), tracer=tracer
+    )
+    mono = mono_compiler.compile_modules(
+        mono_compiler.frontend(mono_source, f"{name.lower()}.p4")
+    )
+    return micro, v1model, mono
 
 
 # ----------------------------------------------------------------------
