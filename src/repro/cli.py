@@ -531,22 +531,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         from repro.targets.faults import ChaosPlan
         from repro.targets.supervision import RestartPolicy
 
-        if args.ingest == "replay":
-            import warnings
-
-            warnings.warn(
-                "--ingest replay is deprecated (kept for benchmark "
-                "comparison only); use --ingest dispatch",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if not args.json:
-                print(
-                    "note: --ingest replay is deprecated; "
-                    "use --ingest dispatch",
-                    file=sys.stderr,
-                )
-
         restart = None
         if (
             args.max_restarts is not None
@@ -574,7 +558,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         engine = EngineConfig(
             workers=args.workers,
             shard_policy=args.shard_policy,
-            ingest=args.ingest,
             publish_interval_s=(
                 args.publish_interval if telemetry is not None else 0.0
             ),
@@ -598,6 +581,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 engine=engine,
                 telemetry=telemetry,
                 trace_writer=trace_writer,
+                publish_interval_s=args.publish_interval,
             )
     finally:
         _finish_telemetry(
@@ -884,14 +868,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="how --workers assigns packets to shards (default: flow-hash)",
     )
     p_soak.add_argument(
-        "--ingest", choices=("replay", "dispatch"), default="dispatch",
-        help="how packets reach the workers: the parent generates the "
-        "stream once and dispatches over shared-memory rings to a "
-        "resident pool (dispatch, default), or every worker replays the "
-        "full stream and filters to its shard (replay, deprecated); "
-        "the digest is identical either way",
-    )
-    p_soak.add_argument(
         "--exec", choices=EXEC_BACKENDS, default=DEFAULT_EXEC_BACKEND,
         help="execution backend (interp default); the verdict-stream "
         "digest is backend-independent by construction",
@@ -907,8 +883,9 @@ def make_parser() -> argparse.ArgumentParser:
     _add_live_flags(p_soak)
     p_soak.add_argument(
         "--publish-interval", type=float, default=0.5, metavar="S",
-        help="seconds between live telemetry publishes from each worker "
-        "(default: 0.5; only active with --stats-port/--metrics-out)",
+        help="seconds between live telemetry publishes from each shard, "
+        "the in-process run included (default: 0.5; only active with "
+        "--stats-port/--metrics-out)",
     )
     p_soak.add_argument(
         "--flight-recorder", type=int, default=64, metavar="N",

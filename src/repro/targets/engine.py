@@ -7,23 +7,17 @@ processes, each owning an independent :class:`~repro.targets.switch
 .Switch` replica built from the same compiled pipeline, and folds the
 per-shard results back into one summary.
 
-Two ingest modes feed the replicas (``EngineConfig.ingest``):
+There is one transport: the parent generates the stream **once**,
+assigns each packet's shard, and pushes ``(index, bytes, in_port)``
+records to a resident :class:`~repro.targets.pool.WorkerPool` over
+per-shard shared-memory rings (:mod:`repro.targets.ring`) — replicated
+pipes fed from one shared ingest, so per-worker work is O(shard).
+There is one consumption loop, :func:`_consume`: pool workers run it
+over their ring, and the in-process soak
+(:func:`~repro.targets.soak.soak_program`, ``--workers 0``) runs it as
+a single inline shard over the whole stream.
 
-* ``dispatch`` (default) — the parent generates the stream **once**,
-  assigns each packet's shard, and pushes ``(index, bytes, in_port)``
-  records to a resident :class:`~repro.targets.pool.WorkerPool` over
-  per-shard shared-memory rings (:mod:`repro.targets.ring`).  Workers
-  are long-lived: one ``start()``, any number of ``submit()`` runs.
-  This matches how RMT hardware scales — replicated pipes fed from one
-  shared ingest — and per-worker work is O(shard), not O(stream).
-* ``replay`` (legacy, deprecated) — every worker replays the *entire*
-  deterministic stream (:func:`repro.targets.soak.iter_stream`) and
-  keeps only the packets its shard owns.  Kept as the baseline the
-  engine-scaling benchmark measures dispatch against, and as the
-  substrate of ``sequential`` mode (contention-free per-shard timing
-  for the modeled aggregate rate).
-
-The determinism contract (DESIGN.md §9, §13) is identical either way:
+The determinism contract (DESIGN.md §9, §13):
 
 * shard assignment is a pure function of the packet: ``flow-hash``
   (crc32 of the packet bytes mod workers — a software RSS) or
@@ -34,9 +28,9 @@ The determinism contract (DESIGN.md §9, §13) is identical either way:
   index; the merged digest is the SHA-256 of the per-shard digests in
   shard order.
 
-Hence ``merged digest = f(seed, workers, shard_policy)`` — replayable
-exactly, whether the workers run concurrently or one at a time, and
-independent of the ingest mode (pinned by test and CI).
+Hence ``merged digest = f(seed, workers, shard_policy)`` — the same
+whether the shards run concurrently in the pool or one after another
+through :func:`_consume` in a single process (pinned by test and CI).
 
 Workers report a local :class:`~repro.obs.metrics.MetricsRegistry`
 snapshot; the parent folds them with the registry's commutative
@@ -56,42 +50,30 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import queue as queue_mod
 import time
-import traceback
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TargetError
 from repro.net.packet import Packet
 from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.pkttrace import PacketTrace
 from repro.targets.backends import EXEC_BACKENDS, make_pipeline
 from repro.targets.faults import ChaosPlan
 from repro.targets.ring import DEFAULT_RING_BYTES
 from repro.targets.supervision import RestartPolicy
-from repro.targets.soak import (
-    SoakConfig,
-    build_switch,
-    compose_program,
-    iter_stream,
-    update_digest,
-)
+from repro.targets.soak import SoakConfig, update_digest
 
 #: Shard-assignment policies.
 SHARD_POLICIES = ("flow-hash", "round-robin")
 
-#: Stream-ingest modes (see the module docstring).
-INGEST_MODES = ("replay", "dispatch")
-
-#: Default packets a worker hands to ``Switch.process_batch`` at a time
-#: (override per run via ``SoakConfig.batch_lanes`` / ``--batch-lanes``).
-#: Both ingest modes batch identically (exactly this many consecutive
-#: owned packets, partial batch only at end of stream) so the two
-#: produce the same batches — and because per-packet verdicts do not
-#: depend on batch boundaries (the SoA parity argument, DESIGN.md §15),
-#: the digest is invariant to the lane count too.
+#: Default packets :func:`_consume` hands to ``Switch.process_batch`` at
+#: a time (override per run via ``SoakConfig.batch_lanes`` /
+#: ``--batch-lanes``).  Per-packet verdicts do not depend on batch
+#: boundaries (the SoA parity argument, DESIGN.md §15), so the digest is
+#: invariant to the lane count.
 BATCH_SIZE = 256
 
 
@@ -150,22 +132,10 @@ class EngineConfig:
 
     workers: int = 2
     shard_policy: str = "flow-hash"  # flow-hash | round-robin
-    #: How packets reach the workers: ``dispatch`` (parent-side stream
-    #: generation pushed to a resident pool over shared-memory rings)
-    #: or ``replay`` (each worker regenerates the full stream and
-    #: filters; deprecated, kept for benchmark comparison).
-    ingest: str = "dispatch"
-    #: Per-shard ring capacity in bytes (dispatch mode).  Bounds the
-    #: parent's lead over a slow worker; a full ring blocks the parent
-    #: (backpressure) rather than dropping anything.
+    #: Per-shard ring capacity in bytes.  Bounds the parent's lead over
+    #: a slow worker; a full ring blocks the parent (backpressure)
+    #: rather than dropping anything.
     ring_bytes: int = DEFAULT_RING_BYTES
-    #: Run the shard workers one at a time instead of concurrently.
-    #: Results and digests are identical either way; sequential mode
-    #: exists so per-shard busy time can be measured without CPU
-    #: timesharing noise on machines with fewer cores than workers
-    #: (the engine-scaling benchmark uses it to model throughput).
-    #: Implies ``replay`` ingest — there is no parent to overlap with.
-    sequential: bool = False
     #: Enable each worker's metrics registry and fold the snapshots
     #: into the merged block (``switch.*`` / ``interp.*`` counters).
     collect_metrics: bool = True
@@ -184,13 +154,13 @@ class EngineConfig:
     #: shard 0's worker exits hard ("exit"), raises ("error"), or
     #: raises KeyboardInterrupt ("interrupt").
     sabotage: Optional[str] = None
-    #: Self-healing bounds for the resident pool (dispatch ingest).
-    #: ``None`` means the default :class:`RestartPolicy` — supervision
-    #: is always on; set ``RestartPolicy(max_restarts_per_shard=0,
-    #: restart_budget=0)`` for the old fail-fast behavior.
+    #: Self-healing bounds for the resident pool.  ``None`` means the
+    #: default :class:`RestartPolicy` — supervision is always on; set
+    #: ``RestartPolicy(max_restarts_per_shard=0, restart_budget=0)``
+    #: for the old fail-fast behavior.
     restart: Optional["RestartPolicy"] = None
-    #: Scheduled process-level fault injection (dispatch ingest only):
-    #: a :class:`~repro.targets.faults.ChaosPlan` of kill/stop/stall
+    #: Scheduled process-level fault injection: a
+    #: :class:`~repro.targets.faults.ChaosPlan` of kill/stop/stall
     #: events the dispatcher fires at exact stream positions.
     chaos: Optional["ChaosPlan"] = None
     #: Workers acknowledge their completed watermark (highest global
@@ -208,11 +178,6 @@ class EngineConfig:
                 f"unknown shard policy {self.shard_policy!r}; "
                 f"known: {', '.join(SHARD_POLICIES)}"
             )
-        if self.ingest not in INGEST_MODES:
-            raise TargetError(
-                f"unknown ingest mode {self.ingest!r}; "
-                f"known: {', '.join(INGEST_MODES)}"
-            )
         if self.ring_bytes < 1024:
             raise TargetError(
                 f"engine ring_bytes must be >= 1024, got {self.ring_bytes}"
@@ -225,11 +190,6 @@ class EngineConfig:
         if self.restart is not None:
             self.restart.validate()
         if self.chaos is not None:
-            if self.ingest != "dispatch" or self.sequential:
-                raise TargetError(
-                    "chaos injection requires dispatch ingest on the "
-                    "resident pool (no --ingest replay, no sequential mode)"
-                )
             for event in self.chaos.events:
                 if event.shard >= self.workers:
                     raise TargetError(
@@ -257,19 +217,6 @@ def assign_shard(index: int, data: bytes, workers: int, policy: str) -> int:
     return zlib.crc32(data) % workers
 
 
-# ----------------------------------------------------------------------
-# Parent->child state handoff (replay ingest only)
-# ----------------------------------------------------------------------
-# Replay-mode pipelines are handed to workers by fork inheritance: the
-# parent compiles once, stashes the result here, and forked children
-# find it without pickling an AST.  Under a non-fork start method the
-# dict comes up empty and each worker compiles its own copy (slower,
-# same results).  Dispatch mode does not use this — the pool installs
-# pipelines via an explicit control message, which works under any
-# start method.
-_SHARED_PIPELINES: Dict[Tuple[str, str], object] = {}
-
-
 def _mp_context():
     try:
         return multiprocessing.get_context("fork")
@@ -281,7 +228,7 @@ def _mp_context():
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_init(engine: EngineConfig) -> None:
-    """Per-worker (and, in the pool, per-run) initialization.
+    """Per-run initialization of a pool worker.
 
     The registry reset is load-bearing twice over: a forked child
     starts with a copy of the parent's ``METRICS`` — counters recorded
@@ -305,28 +252,38 @@ def _consume(
     recorder=None,
     ack=None,
     batch_lanes: int = BATCH_SIZE,
+    tracer: Optional[Callable[[int, PacketTrace, object], None]] = None,
 ) -> Dict[str, object]:
     """Process one shard's packet stream and summarize it.
 
+    The one loop that turns a stream into verdicts and a digest.
     ``stream`` yields only the packets this shard owns, in global-index
-    order — the replay worker filters the full generator stream down to
-    that, the pool worker decodes it from its ring.  Everything
-    downstream (batching, digesting, accounting) is shared, so the two
-    ingest modes cannot drift apart.
+    order — a pool worker decodes it from its ring, the in-process soak
+    passes the whole generator stream as a single inline shard.
+
+    Packets are cut into ``batch_lanes``-lane batches.  A switch that
+    takes the struct-of-arrays fast path (``Switch.soa_ready``) runs
+    each batch whole; otherwise — strict mode, a backend without batch
+    support, or per-packet tracing — the lanes run one at a time, so a
+    lane that escapes containment goes missing alone and the rest of
+    its batch is still processed and digested.  ``tracer(index, trace,
+    verdict)`` (when given) receives a fresh per-packet
+    :class:`~repro.obs.pkttrace.PacketTrace` for every lane.
 
     ``publish(epoch, ledger, watermark)`` (when given) posts a mid-run
     telemetry message every ``engine.publish_interval_s`` seconds;
     ``recorder`` (a :class:`~repro.obs.telemetry.FlightRecorder`)
-    remembers the last N verdicts for post-mortem dumps.  Neither
-    touches the verdict stream or the digest.
+    remembers the last N verdicts for post-mortem dumps.  None of
+    these touches the verdict stream or the digest.
 
-    The *watermark* is the highest global packet index whose verdict
-    has been folded into the digest (-1 until the first batch lands).
-    ``ack(watermark)`` (pool workers) reports it at least every
-    ``engine.ack_interval_pkts`` digested packets, so the supervisor
-    always knows a recent safe resume point; any lag only costs a
-    restarted replica some extra deterministic replay, never
-    correctness (DESIGN.md §14).
+    The *watermark* is the highest global packet index this loop has
+    run through the switch (-1 until the first batch lands); every
+    verdict up to it is folded into the digest, bar escaped lanes,
+    which a deterministic replay escapes again.  ``ack(watermark)``
+    (pool workers) reports it at least every ``engine.ack_interval_pkts``
+    processed packets, so the supervisor always knows a recent safe
+    resume point; any lag only costs a restarted replica some extra
+    deterministic replay, never correctness (DESIGN.md §14).
 
     The returned block carries ``elapsed_s`` **unrounded** — rounding a
     sub-millisecond shard to 0.0 used to wreck the merged aggregate
@@ -347,43 +304,57 @@ def _consume(
         if publish is not None and engine.publish_interval_s > 0
         else None
     )
+    whole_batches = tracer is None and switch.soa_ready
     start = time.perf_counter()
 
+    def escaped(index: int, where: str, exc: Exception) -> None:
+        # A packet escaped containment; ``uncaught`` being non-empty
+        # fails the run regardless.  The switch's stats already reflect
+        # what it processed before raising, so nothing is re-run.
+        if recorder is not None:
+            recorder.note(index, "uncaught", f"{type(exc).__name__}: {exc}")
+        if len(uncaught) < 10:
+            uncaught.append(f"{where}: {type(exc).__name__}: {exc}")
+
+    def fold(index: int, verdict, trace=None) -> None:
+        nonlocal unbalanced
+        if recorder is not None:
+            recorder.record(index, verdict, trace)
+        if not verdict.balanced():
+            unbalanced += 1
+        kinds[verdict.kind] += 1
+        update_digest(digest, index, verdict)
+
     def flush() -> None:
-        nonlocal unbalanced, watermark, folded
+        nonlocal watermark, folded
         if not batch:
             return
-        try:
-            verdicts = switch.process_batch(
-                ((packet, in_port) for _, packet, in_port in batch),
-                soa=True,
-            )
-        except Exception as exc:  # noqa: BLE001 — the invariant under test
-            # A packet escaped containment.  The switch's stats already
-            # reflect whatever it processed before raising, so do NOT
-            # re-run the batch (that would double-count the ledger) —
-            # record the escape and move on; ``uncaught`` being
-            # non-empty fails the run regardless.
-            if recorder is not None:
-                recorder.note(
-                    batch[0][0], "uncaught", f"{type(exc).__name__}: {exc}"
+        if whole_batches:
+            try:
+                verdicts = switch.process_batch(
+                    ((packet, in_port) for _, packet, in_port in batch),
+                    soa=True,
                 )
-            if len(uncaught) < 10:
-                uncaught.append(
-                    f"batch [{batch[0][0]}..{batch[-1][0]}]: "
-                    f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # noqa: BLE001 — the invariant under test
+                # Lanes are contained one by one inside the SoA path, so
+                # a raise out of it is not any single lane's.
+                escaped(
+                    batch[0][0], f"batch [{batch[0][0]}..{batch[-1][0]}]", exc
                 )
-            batch.clear()
-            return
-        for (index, _, _), verdict in zip(batch, verdicts):
-            if recorder is not None:
-                recorder.record(index, verdict)
-            if not verdict.balanced():
-                unbalanced += 1
-            kinds[verdict.kind] += 1
-            update_digest(digest, index, verdict)
-        # Only advance past *digested* packets: a restart resumes after
-        # the watermark, so it must never cover un-folded indices.
+                verdicts = ()
+            for (index, _, _), verdict in zip(batch, verdicts):
+                fold(index, verdict)
+        else:
+            for index, packet, in_port in batch:
+                trace = PacketTrace() if tracer is not None else None
+                try:
+                    verdict = switch.process(packet, in_port, trace)
+                except Exception as exc:  # noqa: BLE001 — the invariant under test
+                    escaped(index, f"packet {index}", exc)
+                    continue
+                if tracer is not None:
+                    tracer(index, trace, verdict)
+                fold(index, verdict, trace)
         watermark = batch[-1][0]
         folded += len(batch)
         batch.clear()
@@ -435,110 +406,6 @@ def _consume(
     return block
 
 
-def _run_shard(
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    shard: int,
-    publish=None,
-    recorder=None,
-) -> Dict[str, object]:
-    """One replay-mode worker's whole job: replay, filter, consume."""
-    composed = _SHARED_PIPELINES.get((program, config.mode))
-    if composed is None:
-        composed = compose_program(config, program)
-    switch = build_switch(
-        config,
-        program,
-        composed,
-        fault_seed=shard_seed(config.seed, program, shard),
-    )
-    workers, policy = engine.workers, engine.shard_policy
-    stream = (
-        (index, packet, in_port)
-        for index, packet, in_port in iter_stream(
-            config, program, switch.config.num_ports
-        )
-        if assign_shard(index, packet.tobytes(), workers, policy) == shard
-    )
-    block = _consume(
-        switch, stream, engine, shard, publish=publish, recorder=recorder,
-        batch_lanes=getattr(config, "batch_lanes", BATCH_SIZE),
-    )
-    block["seed"] = shard_seed(config.seed, program, shard)
-    return block
-
-
-def _shard_worker(
-    out_queue,
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    shard: int,
-) -> None:
-    """Process entry point: run one shard, post ``(kind, shard, payload)``."""
-    from repro.obs.telemetry import FlightRecorder
-
-    recorder = (
-        FlightRecorder(config.flight_recorder, shard=shard)
-        if config.flight_recorder > 0
-        else None
-    )
-
-    def publish(epoch: int, ledger: Dict[str, int], watermark: int) -> None:
-        # Cumulative snapshot + ledger; the parent folds it into the
-        # live view.  Never blocks the dataplane beyond the queue put.
-        out_queue.put(
-            (
-                "telemetry",
-                shard,
-                {
-                    "epoch": epoch,
-                    "metrics": METRICS.snapshot(),
-                    "ledger": ledger,
-                    "watermark": watermark,
-                    "final": False,
-                },
-            )
-        )
-
-    try:
-        _worker_init(engine)
-        if shard == 0 and engine.sabotage == "exit":
-            os._exit(17)
-        if shard == 0 and engine.sabotage == "error":
-            raise RuntimeError("sabotaged worker (test hook)")
-        if shard == 0 and engine.sabotage == "interrupt":
-            raise KeyboardInterrupt
-        out_queue.put(
-            (
-                "ok",
-                shard,
-                _run_shard(
-                    config,
-                    program,
-                    engine,
-                    shard,
-                    publish=publish if engine.collect_metrics else None,
-                    recorder=recorder,
-                ),
-            )
-        )
-    except KeyboardInterrupt:
-        out_queue.put(
-            ("error", shard, {"error": "interrupted", "code": "interrupted"})
-        )
-    except BaseException as exc:  # noqa: BLE001 — report, never hang the pool
-        detail = {
-            "error": f"{type(exc).__name__}: {exc}",
-            "code": getattr(exc, "code", "worker-error"),
-            "traceback": traceback.format_exc(limit=8),
-        }
-        if recorder is not None and len(recorder):
-            detail["flight_recorder"] = recorder.dump()
-        out_queue.put(("error", shard, detail))
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
@@ -547,8 +414,6 @@ def _collect(
     out_queue,
     engine: EngineConfig,
     on_telemetry=None,
-    expect_run: Optional[int] = None,
-    initial: Optional[Dict[int, Dict[str, object]]] = None,
 ) -> Dict[int, Dict[str, object]]:
     """Gather one result per shard; raise on worker failure or death.
 
@@ -557,22 +422,13 @@ def _collect(
     wired) without affecting result accounting.  Any message from a
     still-pending shard re-arms the watchdog — a worker that publishes
     telemetry is alive, however long its shard takes.
-
-    ``expect_run`` (pool runs) discards stale payloads tagged with a
-    different run id; ``initial`` seeds results the caller already
-    drained while dispatching.
     """
-    results: Dict[int, Dict[str, object]] = dict(initial or {})
-    pending = set(procs) - set(results)
+    results: Dict[int, Dict[str, object]] = {}
+    pending = set(procs)
     deadline = time.monotonic() + engine.watchdog_s
 
     def handle(kind: str, shard: int, payload: Dict[str, object]) -> None:
         nonlocal deadline
-        if (
-            expect_run is not None
-            and payload.get("run") not in (None, expect_run)
-        ):
-            return  # stale message from an earlier pool run
         if shard in pending:
             deadline = time.monotonic() + engine.watchdog_s
         if kind == "telemetry":
@@ -658,7 +514,6 @@ def _merge_blocks(
         "mode": config.mode,
         "workers": engine.workers,
         "shard_policy": engine.shard_policy,
-        "ingest": engine.ingest,
         "packets": total("packets"),
         "emits": total("emits"),
         "drops": total("drops"),
@@ -732,78 +587,6 @@ def _publish_final_epochs(
         )
 
 
-def _run_sharded_replay(
-    config: SoakConfig,
-    program: str,
-    engine: EngineConfig,
-    telemetry=None,
-) -> Dict[str, object]:
-    """Legacy fork-per-run path: every worker replays the full stream."""
-    epochs_seen: Dict[int, int] = {}
-
-    def on_telemetry(shard: int, payload: Dict[str, object]) -> None:
-        epoch = int(payload.get("epoch", 0))  # type: ignore[arg-type]
-        epochs_seen[shard] = max(epochs_seen.get(shard, 0), epoch)
-        if telemetry is not None:
-            telemetry.publish(
-                program,
-                shard,
-                epoch,
-                payload.get("metrics", {}),
-                ledger=payload.get("ledger"),
-                final=bool(payload.get("final", False)),
-                watermark=payload.get("watermark"),  # type: ignore[arg-type]
-            )
-
-    # Compile once in the parent: a bad program fails here, cleanly and
-    # single-process; forked workers inherit the compiled pipeline.
-    _SHARED_PIPELINES[(program, config.mode)] = compose_program(config, program)
-    ctx = _mp_context()
-    out_queue = ctx.Queue()
-    procs: Dict[int, multiprocessing.Process] = {
-        shard: ctx.Process(
-            target=_shard_worker,
-            args=(out_queue, config, program, engine, shard),
-            daemon=True,
-        )
-        for shard in range(engine.workers)
-    }
-    start = time.perf_counter()
-    try:
-        if engine.sequential:
-            results: Dict[int, Dict[str, object]] = {}
-            for shard, proc in procs.items():
-                proc.start()
-                results.update(
-                    _collect(
-                        {shard: proc}, out_queue, engine,
-                        on_telemetry=on_telemetry,
-                    )
-                )
-                proc.join()
-        else:
-            for proc in procs.values():
-                proc.start()
-            results = _collect(
-                procs, out_queue, engine, on_telemetry=on_telemetry
-            )
-    finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs.values():
-            if proc.pid is not None:
-                proc.join(timeout=5)
-        out_queue.close()
-        out_queue.cancel_join_thread()
-        _SHARED_PIPELINES.pop((program, config.mode), None)
-    wall_s = time.perf_counter() - start
-    shards = [results[shard] for shard in sorted(results)]
-    if telemetry is not None and engine.collect_metrics:
-        _publish_final_epochs(telemetry, program, shards, epochs_seen)
-    return _merge_blocks(program, config, engine, shards, wall_s)
-
-
 def run_sharded_program(
     config: SoakConfig,
     program: str,
@@ -814,14 +597,14 @@ def run_sharded_program(
 
     Returns a merged program block shaped like ``soak_program``'s, with
     per-shard sub-blocks under ``"shards"``.  Compile problems surface
-    from the parent (before any fork); worker failures raise
+    from the parent, before any worker sees the run; worker failures raise
     :class:`EngineError`; ``KeyboardInterrupt`` tears all workers down
     and propagates.
 
-    With ``dispatch`` ingest (the default) this spins up a one-shot
-    :class:`~repro.targets.pool.WorkerPool`; callers soaking several
-    programs should hold a pool themselves and ``submit()`` each one so
-    the workers stay resident (``run_soak`` does).
+    This spins up a one-shot :class:`~repro.targets.pool.WorkerPool`;
+    callers soaking several programs should hold a pool themselves and
+    ``submit()`` each one so the workers stay resident (``run_soak``
+    does).
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.LiveTelemetry`)
     receives each worker's mid-run publishes (when
@@ -829,13 +612,10 @@ def run_sharded_program(
     epoch-stamped snapshot per shard — so the rolling view always ends
     exactly at the merged result.
     """
-    engine.validate()
-    if engine.ingest == "dispatch" and not engine.sequential:
-        from repro.targets.pool import WorkerPool
+    from repro.targets.pool import WorkerPool
 
-        with WorkerPool(engine) as pool:
-            return pool.submit(config, program, telemetry=telemetry)
-    return _run_sharded_replay(config, program, engine, telemetry=telemetry)
+    with WorkerPool(engine) as pool:  # validates the engine config
+        return pool.submit(config, program, telemetry=telemetry)
 
 
 # ----------------------------------------------------------------------
@@ -964,23 +744,9 @@ def run_profile_shards(
     }
     start = time.perf_counter()
     try:
-        if engine.sequential:
-            results: Dict[int, Dict[str, object]] = {}
-            for shard, proc in procs.items():
-                proc.start()
-                results.update(
-                    _collect(
-                        {shard: proc}, out_queue, engine,
-                        on_telemetry=on_telemetry,
-                    )
-                )
-                proc.join()
-        else:
-            for proc in procs.values():
-                proc.start()
-            results = _collect(
-                procs, out_queue, engine, on_telemetry=on_telemetry
-            )
+        for proc in procs.values():
+            proc.start()
+        results = _collect(procs, out_queue, engine, on_telemetry=on_telemetry)
     finally:
         for proc in procs.values():
             if proc.is_alive():

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -67,9 +66,9 @@ _BASE_ENTRIES = [
 TRAFFIC_MIXES = ("mixed", "routable")
 
 #: Ports on every soak switch replica (``build_switch``'s
-#: ``SwitchConfig``).  The engine's parent-side dispatcher draws ingress
-#: ports from the same constant so the stream it generates is
-#: bit-identical to the one a replica would replay itself.
+#: ``SwitchConfig``).  The in-process soak and the engine's parent-side
+#: dispatcher draw ingress ports from this one constant, so both see
+#: the same bit-identical stream.
 NUM_PORTS = 16
 
 
@@ -258,10 +257,9 @@ def iter_stream_bytes(
     Derived purely from ``(config.seed, program, config.traffic)``.
     This is the wire form the engine's parent-side dispatcher ships to
     worker rings: already serialized, one ``tobytes()`` per packet for
-    the whole run (replay mode re-serializes per *worker* for the shard
-    hash).  :func:`iter_stream` wraps the same generator, so the two
-    views cannot drift: the RNG call sequence here is exactly the one
-    the soak has always used.
+    the whole run.  :func:`iter_stream` wraps the same generator, so the
+    two views cannot drift: the RNG call sequence here is exactly the
+    one the soak has always used.
     """
     if config.traffic not in TRAFFIC_MIXES:
         raise TargetError(
@@ -284,8 +282,8 @@ def iter_stream(
     config: SoakConfig, program: str, num_ports: int
 ) -> Iterator[Tuple[int, Packet, int]]:
     """:func:`iter_stream_bytes` with each payload wrapped in a
-    :class:`~repro.net.packet.Packet` — the replay-side view (engine
-    workers regenerate this stream and keep their shard's packets)."""
+    :class:`~repro.net.packet.Packet` — the view the in-process soak
+    feeds to its inline shard."""
     for index, data, in_port in iter_stream_bytes(config, program, num_ports):
         yield index, Packet(data), in_port
 
@@ -356,17 +354,23 @@ def soak_program(
     trace_writer: Optional["TraceWriter"] = None,
     publish_interval_s: float = 1.0,
 ) -> Dict[str, object]:
-    """Soak one program; returns its JSON-able summary block.
+    """Soak one program in-process; returns its JSON-able summary block.
 
-    ``telemetry`` receives periodic epoch-stamped cumulative snapshots
-    (registry + switch ledger) while the run is in flight;
-    ``trace_writer`` streams one JSONL pkttrace record per packet.
-    Both are observation-only: they never alter the verdict stream, so
-    the digest is identical with or without them.
+    The run is a single inline shard of the engine's consumption loop
+    (:func:`~repro.targets.engine._consume`): the whole stream, the
+    ``{seed}:{program}`` fault seed, ``config.batch_lanes`` lanes per
+    batch.  ``elapsed_s`` covers that loop, not the switch build.
+
+    ``telemetry`` receives epoch-stamped cumulative snapshots (registry
+    + switch ledger) every ``publish_interval_s`` seconds (0 disables
+    mid-run publishes) and a final one at the end; ``trace_writer``
+    streams one JSONL pkttrace record per packet.  Both are
+    observation-only: they never alter the verdict stream, so the
+    digest is identical with or without them.
     """
     from repro.obs.metrics import METRICS
-    from repro.obs.pkttrace import PacketTrace
     from repro.obs.telemetry import FlightRecorder
+    from repro.targets.engine import EngineConfig, _consume
 
     switch = _build_switch(config, program)
     recorder = (
@@ -374,86 +378,42 @@ def soak_program(
         if config.flight_recorder > 0
         else None
     )
-    epoch = 0
-    next_publish = time.monotonic() + publish_interval_s
 
-    def publish(final: bool = False) -> None:
-        nonlocal epoch
-        if telemetry is None:
-            return
-        epoch += 1
+    def publish(epoch: int, ledger, watermark: int, final: bool = False) -> None:
         telemetry.publish(
-            program,
-            0,
-            epoch,
-            METRICS.snapshot(),
-            ledger=dict(switch.stats),
-            final=final,
+            program, 0, epoch, METRICS.snapshot(),
+            ledger=ledger, final=final, watermark=watermark,
         )
 
-    digest = hashlib.sha256()
-    uncaught: List[str] = []
-    unbalanced = 0
-    kinds = {"emit": 0, "drop": 0, "killed": 0}
-    start = time.perf_counter()
-    for index, packet, in_port in iter_stream(
-        config, program, switch.config.num_ports
-    ):
-        trace = PacketTrace() if trace_writer is not None else None
-        try:
-            verdict = switch.process(packet, in_port, trace)
-        except Exception as exc:  # noqa: BLE001 — the invariant under test
-            if recorder is not None:
-                recorder.note(index, "uncaught", f"{type(exc).__name__}: {exc}")
-            if len(uncaught) < 10:
-                uncaught.append(
-                    f"packet {index}: {type(exc).__name__}: {exc}"
-                )
-            else:
-                uncaught.append("...")
-                break
-            continue
-        if recorder is not None:
-            recorder.record(index, verdict, trace)
-        if trace_writer is not None:
-            trace_writer.write(trace, index, program=program, verdict=verdict.kind)
-        if not verdict.balanced():
-            unbalanced += 1
-        kinds[verdict.kind] += 1
-        update_digest(digest, index, verdict)
-        if telemetry is not None and time.monotonic() >= next_publish:
-            publish()
-            next_publish = time.monotonic() + publish_interval_s
-    elapsed = time.perf_counter() - start
-    publish(final=True)
-    stats = switch.stats
-    ledger_ok = stats["units"] == stats["out"] + stats["dropped"]
-    block: Dict[str, object] = {
-        "program": program,
-        "mode": config.mode,
-        "packets": stats["in"],
-        "emits": stats["out"],
-        "drops": stats["dropped"],
-        "units": stats["units"],
-        "replicated": stats["replicated"],
-        "killed": stats["killed"],
-        "verdicts": kinds,
-        "drops_by_reason": dict(sorted(switch.drops_by_reason.items())),
-        "fault_trips": (
-            dict(sorted(switch.faults.trips.items()))
-            if switch.faults is not None
-            else {}
+    def tracer(index: int, trace, verdict) -> None:
+        trace_writer.write(trace, index, program=program, verdict=verdict.kind)
+
+    block = _consume(
+        switch,
+        iter_stream(config, program, NUM_PORTS),
+        EngineConfig(
+            workers=1,
+            collect_metrics=False,
+            publish_interval_s=publish_interval_s,
         ),
-        "uncaught": uncaught,
-        "unbalanced_verdicts": unbalanced,
-        "ledger_ok": ledger_ok and unbalanced == 0,
-        "digest": digest.hexdigest(),
-        "elapsed_s": round(elapsed, 3),
-        "pkts_per_sec": round(config.packets / elapsed, 1) if elapsed else None,
-    }
-    if recorder is not None and (uncaught or not block["ledger_ok"]):
-        block["flight_recorder"] = recorder.dump()
-    return block
+        0,
+        publish=publish if telemetry is not None else None,
+        recorder=recorder,
+        batch_lanes=config.batch_lanes,
+        tracer=tracer if trace_writer is not None else None,
+    )
+    if telemetry is not None:
+        publish(
+            block["telemetry_epochs"] + 1,
+            dict(switch.stats),
+            block["watermark"],
+            final=True,
+        )
+    # The inline shard's block, less the sharding bookkeeping.
+    for key in ("shard", "watermark", "telemetry_epochs"):
+        del block[key]
+    block["elapsed_s"] = round(block["elapsed_s"], 3)
+    return {"program": program, "mode": config.mode, **block}
 
 
 def run_soak(
@@ -461,52 +421,49 @@ def run_soak(
     engine: Optional["EngineConfig"] = None,
     telemetry: Optional["LiveTelemetry"] = None,
     trace_writer: Optional["TraceWriter"] = None,
+    publish_interval_s: float = 1.0,
 ) -> Dict[str, object]:
     """Run the whole soak; ``ok`` is True iff every program held both
     containment invariants (no uncaught exceptions, exact accounting).
 
     With an :class:`~repro.targets.engine.EngineConfig`, each program's
-    stream fans out over that many worker processes (switch replicas);
-    the merged digest is then a pure function of
-    ``(seed, workers, shard_policy)``.
+    stream fans out over that many worker processes (switch replicas)
+    of one resident pool; the merged digest is then a pure function of
+    ``(seed, workers, shard_policy)``.  Without one, each program runs
+    in-process through :func:`soak_program`.
 
     ``telemetry`` wires a live rolling view over the run (per-shard in
-    the engine case); ``trace_writer`` streams per-packet JSONL traces
-    and is single-process only — worker processes cannot share one
-    output file without interleaving corruption.
+    the engine case), published every ``publish_interval_s`` seconds
+    in-process or every ``engine.publish_interval_s`` from the workers;
+    ``trace_writer`` streams per-packet JSONL traces and is
+    single-process only — worker processes cannot share one output file
+    without interleaving corruption.
     """
     config.validate()
     if engine is not None:
-        from repro.targets.engine import run_sharded_program
+        from repro.targets.pool import WorkerPool
 
         if trace_writer is not None:
             raise TargetError(
-                "--trace-out requires a single-process run (workers=1 "
-                "without an engine); per-worker trace files are not "
-                "supported"
+                "--trace-out requires a single-process run (no "
+                "--workers); per-worker trace files are not supported"
             )
-        engine.validate()  # reject workers < 1 / unknown policy up front
-        if engine.ingest == "dispatch" and not engine.sequential:
-            # One resident pool for the whole soak: fork once, then
-            # submit every program to the same workers.
-            from repro.targets.pool import WorkerPool
-
-            with WorkerPool(engine) as pool:
-                programs = {
-                    name: pool.submit(config, name, telemetry=telemetry)
-                    for name in config.programs
-                }
-        else:
+        # One resident pool for the whole soak: fork once, then submit
+        # every program to the same workers.  The pool validates the
+        # engine config (workers < 1, unknown policy) up front.
+        with WorkerPool(engine) as pool:
             programs = {
-                name: run_sharded_program(
-                    config, name, engine, telemetry=telemetry
-                )
+                name: pool.submit(config, name, telemetry=telemetry)
                 for name in config.programs
             }
     else:
         programs = {
             name: soak_program(
-                config, name, telemetry=telemetry, trace_writer=trace_writer
+                config,
+                name,
+                telemetry=telemetry,
+                trace_writer=trace_writer,
+                publish_interval_s=publish_interval_s,
             )
             for name in config.programs
         }
@@ -531,7 +488,6 @@ def run_soak(
     if engine is not None:
         meta["workers"] = engine.workers
         meta["shard_policy"] = engine.shard_policy
-        meta["ingest"] = engine.ingest
         if engine.restart is not None:
             meta["restart_policy"] = engine.restart.to_dict()
         if engine.chaos is not None:

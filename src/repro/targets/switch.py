@@ -299,6 +299,16 @@ class Switch:
         return self.process(packet, in_port, trace).outputs
 
     # ------------------------------------------------------------------
+    @property
+    def soa_ready(self) -> bool:
+        """True when ``process_batch(..., soa=True)`` takes the
+        struct-of-arrays fast path rather than per-packet processing."""
+        return (
+            not self.strict
+            and self.config.recirculate_port is None
+            and getattr(self.pipeline, "batch_supported", False)
+        )
+
     def process_batch(
         self, items: Iterable[Tuple[Packet, int]], soa: bool = False
     ) -> List[Verdict]:
@@ -321,16 +331,12 @@ class Switch:
         and deparse survivors at the end.  Fault-site RNG streams see
         lanes in submission order, so verdicts — and the soak digest
         over them — are bit-for-bit identical to the per-packet path.
-        The fast path declines (and this falls back to per-packet
-        processing) under ``strict`` mode, a configured recirculation
-        port, or a backend without batch support.
+        The fast path declines (``soa_ready`` is False, and this falls
+        back to per-packet processing) under ``strict`` mode, a
+        configured recirculation port, or a backend without batch
+        support.
         """
-        if (
-            soa
-            and not self.strict
-            and self.config.recirculate_port is None
-            and getattr(self.pipeline, "batch_supported", False)
-        ):
+        if soa and self.soa_ready:
             return self._process_batch_soa(list(items))
         process = self.process
         return [process(packet, in_port) for packet, in_port in items]
@@ -398,6 +404,7 @@ class Switch:
                 if metrics_on:
                     METRICS.inc("switch.killed")
         if metrics_on and n:
+            METRICS.inc("switch.batches")
             METRICS.inc("switch.packets", n)
             METRICS.inc("switch.emits", out_total)
             METRICS.inc("switch.units", units_total)

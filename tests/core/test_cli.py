@@ -352,25 +352,29 @@ class TestSoak:
         assert payload["ok"] is False
         assert "unknown soak program" in payload["error"]
 
-    def test_soak_ingest_modes_share_a_digest(self, capsys):
-        # --ingest picks the transport, never the results: the legacy
-        # replay path and the dispatch pool must agree byte-for-byte.
-        digests = {}
-        for mode in ("replay", "dispatch"):
-            rc = main(["soak", "--programs", "P4", "--packets", "300",
-                       "--seed", "7", "--workers", "2",
-                       "--ingest", mode, "--json"])
-            assert rc == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["programs"]["P4"]["ingest"] == mode
-            digests[mode] = payload["digest"]
-        assert digests["replay"] == digests["dispatch"]
-
     def test_soak_rejects_unknown_ingest(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["soak", "--programs", "P4", "--packets", "10",
-                  "--workers", "2", "--ingest", "teleport"])
-        assert "invalid choice" in capsys.readouterr().err
+        # One transport: --ingest is no longer an option at all.
+        for mode in ("replay", "dispatch"):
+            with pytest.raises(SystemExit) as exc:
+                main(["soak", "--programs", "P4", "--packets", "10",
+                      "--workers", "2", "--ingest", mode])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --ingest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_soak_strict_escape_loses_only_its_lane(self, workers, capsys):
+        # Strict mode re-raises contained faults, so many lanes escape;
+        # each escape must cost its own lane only, never the rest of
+        # its batch or the rest of the stream.
+        rc = main(["soak", "--programs", "P4", "--packets", "600",
+                   "--fault-rate", "0.3", "--seed", "1234", "--strict",
+                   "--workers", workers, "--json"])
+        assert rc == 1
+        block = json.loads(capsys.readouterr().out)["programs"]["P4"]
+        assert block["packets"] == 600
+        assert block["ledger_ok"]
+        assert len(block["uncaught"]) == 10  # capped
+        assert 0 < sum(block["verdicts"].values()) < 600
 
 
 class TestFailureChannels:
@@ -561,6 +565,17 @@ class TestTelemetryCli:
         assert main(base_args + ["--metrics-out", str(out)]) == 0
         live = json.loads(capsys.readouterr().out)["digest"]
         assert plain == live
+
+    def test_soak_in_process_honours_publish_interval(self, tmp_path, capsys):
+        out = tmp_path / "final.json"
+        assert main(["soak", "--programs", "P4", "--packets", "1000",
+                     "--seed", "7", "--exec", "codegen", "--batch-lanes", "16",
+                     "--publish-interval", "0.001",
+                     "--metrics-out", str(out), "--json"]) == 0
+        capsys.readouterr()
+        (shard,) = json.loads(out.read_text())["shards"]
+        assert shard["final"]
+        assert shard["epoch"] > 1  # mid-run publishes before the final one
 
     def test_stats_reads_snapshot_file(self, tmp_path, capsys):
         out = tmp_path / "final.json"

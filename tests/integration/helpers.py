@@ -257,3 +257,45 @@ def run_both(name: str, packets=None):
             (pkt, micro.process(pkt.copy(), 1), mono.process(pkt.copy(), 1))
         )
     return results
+
+
+def inline_shard_blocks(config, program: str, workers: int, policy: str):
+    """Each shard's sub-stream run through the engine's ``_consume`` loop
+    in this process, one shard after another, each on a switch with the
+    shard's own fault seed: the pool's shards without the pool.  Returns
+    the per-shard result blocks in shard order."""
+    from repro.net.packet import Packet
+    from repro.targets.engine import (
+        EngineConfig,
+        _consume,
+        assign_shard,
+        shard_seed,
+    )
+    from repro.targets.soak import (
+        NUM_PORTS,
+        build_switch,
+        compose_program,
+        iter_stream_bytes,
+    )
+
+    composed = compose_program(config, program)
+    blocks = []
+    for shard in range(workers):
+        switch = build_switch(
+            config, program, composed,
+            fault_seed=shard_seed(config.seed, program, shard),
+        )
+        stream = (
+            (index, Packet(data), in_port)
+            for index, data, in_port in iter_stream_bytes(
+                config, program, NUM_PORTS
+            )
+            if assign_shard(index, data, workers, policy) == shard
+        )
+        blocks.append(
+            _consume(
+                switch, stream, EngineConfig(workers=1, collect_metrics=False),
+                shard, batch_lanes=config.batch_lanes,
+            )
+        )
+    return blocks

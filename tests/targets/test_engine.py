@@ -5,8 +5,9 @@ The load-bearing properties:
 * a 1-worker engine run reproduces the inline ``soak_program`` digest
   bit-for-bit (at fault_rate=0, where fault-seed derivation is moot);
 * the merged digest is a pure function of ``(seed, workers,
-  shard_policy)`` — replayable, and independent of whether the workers
-  ran concurrently or one at a time;
+  shard_policy)`` — replayable, and independent of whether the shards
+  ran concurrently in the pool or one at a time through the inline
+  ``_consume`` loop;
 * merged accounting is exact: shard ledgers balance individually and
   the totals balance after the fold;
 * worker metrics start from a reset registry (fork-inheritance
@@ -35,6 +36,7 @@ from repro.targets.engine import (
     shard_seed,
 )
 from repro.targets.soak import SoakConfig, run_soak, soak_program
+from tests.integration.helpers import inline_shard_blocks
 
 
 def quick_config(**kw):
@@ -47,6 +49,7 @@ def quick_config(**kw):
 
 def no_orphans():
     return multiprocessing.active_children() == []
+
 
 
 class TestShardAssignment:
@@ -81,8 +84,9 @@ class TestConfigValidation:
         assert no_orphans()
 
     def test_unknown_ingest_rejected(self):
-        with pytest.raises(TargetError, match="ingest"):
-            EngineConfig(ingest="osmosis").validate()
+        # One transport: there is no ingest mode left to choose.
+        with pytest.raises(TypeError, match="ingest"):
+            EngineConfig(ingest="replay")
 
     def test_tiny_ring_rejected(self):
         with pytest.raises(TargetError, match="ring_bytes"):
@@ -122,13 +126,17 @@ class TestDeterminism:
         assert w2["digest"] != rr["digest"]
 
     def test_sequential_equals_concurrent(self):
+        # The pool's concurrent shards and the same shards run one after
+        # another through the inline loop give the same digests.
         config = quick_config()
         conc = run_sharded_program(config, "P4", EngineConfig(workers=2))
-        seq = run_sharded_program(
-            config, "P4", EngineConfig(workers=2, sequential=True)
-        )
-        assert seq["digest"] == conc["digest"]
-        assert seq["drops_by_reason"] == conc["drops_by_reason"]
+        seq = inline_shard_blocks(config, "P4", 2, "flow-hash")
+        assert [s["digest"] for s in conc["shards"]] == [
+            s["digest"] for s in seq
+        ]
+        assert [s["packets"] for s in conc["shards"]] == [
+            s["packets"] for s in seq
+        ]
 
     def test_run_soak_engine_summary_is_deterministic(self):
         config = quick_config(packets=300)

@@ -85,7 +85,7 @@ class TestDeterminism:
     def test_digest_ignores_wall_clock(self, monkeypatch):
         """The digest covers only the verdict stream: two same-seed runs
         with wildly different timings must agree bit-for-bit."""
-        import repro.targets.soak as soak_mod
+        import repro.targets.engine as engine_mod
 
         baseline = soak_program(quick_config(packets=300), "P4")
 
@@ -95,7 +95,8 @@ class TestDeterminism:
             # Strictly increasing but absurd: every call jumps 37s.
             return float(next(ticks))
 
-        monkeypatch.setattr(soak_mod.time, "perf_counter", jittery_clock)
+        # The soak loop is the engine's ``_consume``; patch its clock.
+        monkeypatch.setattr(engine_mod.time, "perf_counter", jittery_clock)
         jittered = soak_program(quick_config(packets=300), "P4")
         assert jittered["elapsed_s"] != baseline["elapsed_s"]
         assert jittered["digest"] == baseline["digest"]

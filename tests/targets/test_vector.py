@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import TargetError
 from repro.lib.catalog import build_monolithic, build_pipeline
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, collecting
 from repro.targets import vector as vector_mod
 from repro.targets.backends import make_pipeline
 from repro.targets.faults import FaultPlan, ResourceGuards
@@ -272,18 +272,25 @@ class TestBatchLanes:
         config.validate()
         assert config.batch_lanes == 256
 
-    @needs_numpy
-    def test_digest_invariant_under_lane_count(self):
-        digests = {
-            lanes: soak_program(
-                SoakConfig(
-                    programs=["P4"], packets=400, seed=11, fault_rate=0.1,
-                    exec_backend="vector", batch_lanes=lanes,
-                ),
-                "P4",
-            )["digest"]
-            for lanes in (16, 256)
-        }
+    @pytest.mark.parametrize(
+        "exec_backend",
+        ["interp", "codegen", pytest.param("vector", marks=needs_numpy)],
+    )
+    def test_digest_invariant_under_lane_count(self, exec_backend):
+        digests = {}
+        for lanes in (1, 16, 256):
+            with collecting() as reg:
+                digests[lanes] = soak_program(
+                    SoakConfig(
+                        programs=["P4"], packets=400, seed=11, fault_rate=0.1,
+                        exec_backend=exec_backend, batch_lanes=lanes,
+                    ),
+                    "P4",
+                )["digest"]
+            if exec_backend == "vector":
+                # The in-process run really takes the columnwise path.
+                assert reg.counter("switch.batches") == -(-400 // lanes)
+                assert reg.counter("vector.soa_fallback_batches") == 0
         assert len(set(digests.values())) == 1, digests
 
     def test_summary_reports_lanes(self):
